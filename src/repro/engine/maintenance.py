@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from .._rng import RngLike
 from ..exceptions import ParameterError
@@ -134,12 +135,18 @@ class AutoStatistics:
         return self.policy.is_stale(stats, modified)
 
     def ensure_fresh(
-        self, table: Table, column_name: str, rng: RngLike = None
+        self,
+        table: Table,
+        column_name: str,
+        rng: RngLike | Callable[[], RngLike] = None,
     ) -> ColumnStatistics:
         """Return current statistics, rebuilding first if they are stale.
 
         The rebuild re-runs ANALYZE against the table's *current* column
-        contents with the parameters of the previous build.
+        contents with the parameters of the previous build.  *rng* seeds
+        the rebuild's sampling; it may also be a zero-argument factory,
+        called only when a rebuild actually runs, so a fresh read builds
+        no generator.
 
         This method never raises :class:`~repro.exceptions.BuildAbortedError`:
         when the rebuild dies (read budget exhausted, too many bad pages) the
@@ -184,7 +191,7 @@ class AutoStatistics:
             table,
             column_name,
             fallback=stats,
-            rng=rng,
+            rng=rng() if callable(rng) else rng,
             method=stats.method,
             **params,
         )

@@ -25,7 +25,7 @@ from ..core import bounds
 from ..core.adaptive import CVBConfig, CVBResult, CVBSampler
 from ..core.compressed import CompressedHistogram
 from ..core.histogram import EquiHeightHistogram
-from ..exceptions import ParameterError
+from ..exceptions import BuildAbortedError, ParameterError
 from ..distinct.estimators import DistinctValueEstimator, GEEEstimator
 from ..distinct.frequency import FrequencyProfile
 from ..obs import metrics as _metrics
@@ -182,9 +182,17 @@ class StatisticsManager:
             ``"record"`` takes a fixed-size record-level sample (sized by
             Corollary 1 unless *record_sample_size* is given); ``"fullscan"``
             builds the perfect histogram.
+        layout:
+            Physical layout of the table's heap file.  The table is laid
+            out once (see :meth:`~repro.engine.table.Table.to_heapfile`):
+            every build of a column reads the same pages.
+        rng:
+            Seeds *sampling* only (which pages or records are read).  It
+            never reshuffles the table, so layout and sampling randomness
+            are independent.
         heapfile:
             Reuse an existing heap file (e.g. to control layout/blocking
-            exactly); otherwise one is materialised with *layout*.
+            exactly); otherwise the table's own *layout* is used.
         fault_policy:
             Wrap the heap file in a
             :class:`~repro.storage.faults.FaultyHeapFile` injecting these
@@ -196,6 +204,9 @@ class StatisticsManager:
             :class:`~repro.exceptions.BuildAbortedError` (which
             :class:`~repro.engine.maintenance.AutoStatistics` turns into a
             degraded last-known-good answer).
+
+        Raises :class:`~repro.exceptions.ParameterError` for an unknown
+        *method* or an empty column, whatever the method.
         """
         if method not in BUILD_METHODS:
             raise ParameterError(
@@ -203,10 +214,12 @@ class StatisticsManager:
             )
         generator = ensure_rng(rng)
         if heapfile is None:
-            heapfile = table.to_heapfile(column_name, layout=layout, rng=generator)
+            heapfile = table.to_heapfile(column_name, layout=layout)
         if fault_policy is not None and not isinstance(heapfile, FaultyHeapFile):
             heapfile = FaultyHeapFile(heapfile, fault_policy)
         n = heapfile.num_records
+        if n == 0:
+            raise ParameterError("cannot build statistics over an empty file")
         io_baseline = heapfile.iostats.snapshot()
 
         with _trace.span(
@@ -252,7 +265,6 @@ class StatisticsManager:
                         "record sample is empty: no readable records"
                     )
                 histogram = EquiHeightHistogram.from_sorted_values(sample, k)
-                pages_read = heapfile.iostats.page_reads
                 converged = True
             else:  # fullscan
                 if retry is not None or read_budget is not None:
@@ -271,8 +283,15 @@ class StatisticsManager:
                 else:
                     sample = np.sort(heapfile.scan())
                 histogram = EquiHeightHistogram.from_sorted_values(sample, k)
-                pages_read = heapfile.iostats.page_reads
                 converged = True
+            io_after = heapfile.iostats.snapshot()
+            io = {
+                key: io_after[key] - io_baseline.get(key, 0)
+                for key in io_after
+                if key != "pages_touched"
+            }
+            if method != "cvb":
+                pages_read = io["page_reads"]
             _metrics.inc("repro_analyze_builds_total", method=method)
             analyze_span.set(
                 pages_read=pages_read,
@@ -285,12 +304,6 @@ class StatisticsManager:
         density = density_from_estimate(n, distinct_estimate)
         selfjoin = selfjoin_density_from_sample(sample, n=n)
 
-        io_after = heapfile.iostats.snapshot()
-        io = {
-            key: io_after[key] - io_baseline.get(key, 0)
-            for key in io_after
-            if key != "pages_touched"
-        }
         resilience_params = {
             name: value
             for name, value in (
@@ -335,8 +348,9 @@ class StatisticsManager:
     ) -> dict[str, ColumnStatistics]:
         """ANALYZE every column of *table* with shared parameters.
 
-        Each column gets an independent sampling stream (derived from *rng*)
-        and its own heap file materialisation; returns ``{column: stats}``.
+        Each column gets an independent sampling stream (derived from *rng*);
+        all columns are read through the table's one physical layout.
+        Returns ``{column: stats}``.
         """
         from .._rng import spawn_rngs
 

@@ -528,19 +528,31 @@ for _workers in (1, 2, 4):
 # --- static analysis ---------------------------------------------------
 
 
+#: The frozen corpus the lint scenario sweeps, relative to the repo root:
+#: the checked-in fixture mini-repo (one seeded violation per rule family,
+#: pinned by its golden report in ``tests/lint``).
+LINT_CORPUS = Path("tests") / "lint" / "fixtures"
+
+
 def _lint_setup(scale: BenchScale, seed: int) -> dict:
-    """Resolve the repo root the lint scenario will sweep."""
+    """Resolve the frozen corpus the lint scenario will sweep."""
     from .. import lint
 
-    return {"root": lint.default_root()}
+    root = lint.default_root() / LINT_CORPUS
+    if not root.is_dir():
+        raise ParameterError(
+            f"lint_full_repo needs a source checkout; {root} is missing"
+        )
+    return {"root": root}
 
 
 def _lint_run(ctx: dict) -> dict:
     """One full ``repro.lint`` sweep; cost = files/nodes visited.
 
-    Scale-independent on purpose: the analysed corpus is this repo itself,
-    so the logical section moves exactly when ``src/repro`` or the doc set
-    changes — making analysis cost a tracked quantity like any other.
+    Scale-independent on purpose, and run over a frozen corpus
+    (:data:`LINT_CORPUS`) rather than this repo's own sources and docs:
+    the logical section then moves exactly when the analyzer's work
+    changes, never when code or prose elsewhere in the repo grows.
     Runs with ``flow=True`` so the whole-program pass (symbol table, call
     graph, SEED/CON rules) is inside the measured and gated work; the
     ``flow_*`` counters track the project model's size exactly.
@@ -566,7 +578,8 @@ _register(
             "Determinism contract (PR 5): the invariants behind "
             "Theorems 4-7 reproductions, checked statically"
         ),
-        help="full repro.lint sweep over src/repro plus the Markdown docs",
+        help="full repro.lint sweep (flow rules included) over the frozen "
+        "fixture mini-repo tests/lint/fixtures",
         setup=_lint_setup,
         run=_lint_run,
     )

@@ -98,7 +98,7 @@ def sample_blocks(
         is not None
     ]
     if not chunks:
-        return heapfile.values_unaccounted()[:0]
+        return heapfile.empty_payload()
     return np.concatenate(chunks)
 
 
@@ -234,7 +234,7 @@ class BlockSampleStream:
                     delivered += int(delivered_ids.size)
             if not chunks:
                 empty = np.asarray([], dtype=np.int64)
-                return self._file.values_unaccounted()[:0], empty
+                return self._file.empty_payload(), empty
             return np.concatenate(chunks), np.concatenate(sizes_parts)
         chunks: list[np.ndarray] = []
         while len(chunks) < num_blocks and self._cursor < self._order.size:
@@ -253,7 +253,7 @@ class BlockSampleStream:
             chunks.append(payload)
         sizes = np.asarray([chunk.size for chunk in chunks], dtype=np.int64)
         if not chunks:
-            return self._file.values_unaccounted()[:0], sizes
+            return self._file.empty_payload(), sizes
         return np.concatenate(chunks), sizes
 
     def take(self, num_blocks: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from .._rng import RngLike
 from ..engine.maintenance import AutoStatistics
@@ -77,13 +78,17 @@ class StatsCache:
     # ------------------------------------------------------------------
 
     def lookup(
-        self, table: Table, column_name: str, rng: RngLike = None
+        self,
+        table: Table,
+        column_name: str,
+        rng: RngLike | Callable[[], RngLike] = None,
     ) -> CacheEntry:
         """The current serving bundle for ``table.column_name``.
 
         Delegates freshness to ``AutoStatistics.ensure_fresh`` (which may
-        rebuild), then revalidates the cached entry against the catalog
-        version.  Raises
+        rebuild, seeded by *rng*: a generator, a seed, or a zero-argument
+        factory called only for a rebuild), then revalidates the cached
+        entry against the catalog version.  Raises
         :class:`~repro.exceptions.StatisticsNotFoundError` when the column
         was never analyzed — cold builds are the server's (admission
         -controlled) job, via :meth:`install`.

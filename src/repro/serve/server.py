@@ -21,6 +21,7 @@ answers from the last-known-good bundle (cache or catalog) flagged
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 import time
@@ -301,10 +302,14 @@ class StatsServer:
     # -- Estimates -----------------------------------------------------
 
     def _serving_entry(self, table: Table, column: str) -> CacheEntry:
-        """The serving bundle, cold-building (through admission) if needed."""
-        rng = self._build_rng(table.name, column)
+        """The serving bundle, cold-building (through admission) if needed.
+
+        The refresh RNG is passed as a factory: a cache hit or a fresh
+        read never builds a generator.
+        """
+        rebuild_rng = functools.partial(self._build_rng, table.name, column)
         try:
-            return self.cache.lookup(table, column, rng=rng)
+            return self.cache.lookup(table, column, rng=rebuild_rng)
         except StatisticsNotFoundError:
             pass
         with self.admission.slot() as decision:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import RngLike, spawn_seeds
-from ..core import kernels
 from ..obs import metrics as _metrics
 from ..exceptions import (
     BuildAbortedError,
@@ -152,13 +151,14 @@ class FaultPolicy:
 class FaultyHeapFile(HeapFile):
     """A drop-in :class:`HeapFile` that injects a :class:`FaultPolicy`.
 
-    Wraps an existing heap file (sharing its backing array, not copying it)
-    and applies the policy on every access path: ``read_page``,
-    ``read_pages``, ``read_record``, ``scan`` and ``iter_pages`` all go
-    through the faulty read.  Corrupt pages return a tampered payload whose
-    checksum mismatch (against the checksum recorded at wrap time) raises
-    :class:`~repro.exceptions.PageCorruptionError` — detection works the way
-    a real storage engine's page verification does, rather than by fiat.
+    Wraps an existing heap file (sharing its backing array and row order,
+    not copying them) and applies the policy on every access path:
+    ``read_page``, ``read_pages``, ``read_record``, ``scan`` and
+    ``iter_pages`` all go through the faulty read.  Corrupt pages return a
+    tampered payload whose checksum mismatch (against the checksum recorded
+    at wrap time) raises :class:`~repro.exceptions.PageCorruptionError` —
+    detection works the way a real storage engine's page verification does,
+    rather than by fiat.
 
     With ``FaultPolicy()`` (all rates zero) the wrapper is behaviourally
     identical to the wrapped file: same payload bytes, same
@@ -167,9 +167,10 @@ class FaultyHeapFile(HeapFile):
 
     def __init__(self, inner: HeapFile, policy: FaultPolicy | None = None):
         super().__init__(
-            inner.values_unaccounted(),
+            inner._values,
             blocking_factor=inner.blocking_factor,
             spec=inner.spec,
+            order=inner._order,
         )
         self.policy = policy or FaultPolicy()
         self._corrupt = self.policy.corrupt_page_ids(self.num_pages)
@@ -196,12 +197,12 @@ class FaultyHeapFile(HeapFile):
         if not self._corrupt:
             return self.values_unaccounted()
         chunks = [
-            self.values_unaccounted()[slice(*self.page_bounds(pid))]
+            self._slice(*self.page_bounds(pid))
             for pid in range(self.num_pages)
             if pid not in self._corrupt
         ]
         if not chunks:
-            return self.values_unaccounted()[:0]
+            return self.empty_payload()
         return np.concatenate(chunks)
 
     # ------------------------------------------------------------------
@@ -224,7 +225,7 @@ class FaultyHeapFile(HeapFile):
                 page_id=page_id,
                 attempt=attempt,
             )
-        clean = self.values_unaccounted()[lo:hi]
+        clean = self._slice(lo, hi)
         expected = self._expected_checksums.get(page_id)
         if expected is None:
             expected = page_checksum(clean)
@@ -265,7 +266,7 @@ class FaultyHeapFile(HeapFile):
         """
         chunks = [self.read_page(pid) for pid in range(self.num_pages)]
         if not chunks:
-            return self.values_unaccounted()[:0]
+            return self.empty_payload()
         return np.concatenate(chunks)
 
     def __repr__(self) -> str:
@@ -649,7 +650,7 @@ def read_pages_resilient(
     """
     ids = np.asarray(page_ids, dtype=np.int64)
     if ids.size == 0:
-        return heapfile.values_unaccounted()[:0], ids, []
+        return heapfile.empty_payload(), ids, []
     if type(heapfile).read_page is HeapFile.read_page:
         # Fault-free file: nothing can fail, one batched gather suffices.
         payload = heapfile.read_pages(ids)
@@ -677,14 +678,13 @@ def read_pages_resilient(
         if chunks:
             flat = np.concatenate(chunks)
         else:
-            flat = heapfile.values_unaccounted()[:0]
+            flat = heapfile.empty_payload()
         return flat, np.asarray(delivered, dtype=np.int64), skipped
 
     # FaultyHeapFile with corruption only: page outcomes are fixed by the
     # policy's corrupt set, so runs of clean pages batch into one gather.
     policy = heapfile.policy
     corrupt = heapfile._corrupt
-    values = heapfile.values_unaccounted()
     chunks = []
     delivered = []
     skipped = []
@@ -701,7 +701,7 @@ def read_pages_resilient(
             heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
         if policy.read_latency_s:
             heapfile.iostats.record_latency(policy.read_latency_s * len(run))
-        chunks.append(kernels.gather_pages(values, arr, heapfile.blocking_factor))
+        chunks.append(heapfile._gather(arr))
         heapfile.iostats.record_reads(arr)
         _metrics.inc(
             "repro_resilient_reads_total", len(run), outcome="delivered"
@@ -735,7 +735,7 @@ def read_pages_resilient(
     if chunks:
         flat = np.concatenate(chunks)
     else:
-        flat = values[:0]
+        flat = heapfile.empty_payload()
     return flat, np.asarray(delivered, dtype=np.int64), skipped
 
 
@@ -767,5 +767,5 @@ def resilient_scan(
         if payload is not None:
             chunks.append(payload)
     if not chunks:
-        return heapfile.values_unaccounted()[:0]
+        return heapfile.empty_payload()
     return np.concatenate(chunks)

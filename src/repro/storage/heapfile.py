@@ -4,8 +4,13 @@ A :class:`HeapFile` stores one column's values in page order (the physical
 layout already applied) and charges one page read per page fetched, which is
 the cost unit the paper reports ("number of disk blocks sampled", Figure 4).
 
-The backing store is a single contiguous numpy array; ``read_page`` returns a
-view, so scanning or sampling a million-page file allocates almost nothing.
+The backing store is either a single contiguous numpy array already in page
+order (``read_page`` returns a view, so scanning or sampling a million-page
+file allocates almost nothing), or the column's values in any order plus a
+read-only ``order`` array of row ids in page order.  The second form is how
+a :class:`~repro.engine.table.Table` lays a column out without copying it:
+every column of the table shares one row order, the way all attributes of a
+row share a page, and a read gathers only the rows of the pages it fetches.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ __all__ = ["HeapFile"]
 class HeapFile:
     """A read-only heap file over one attribute column.
 
-    Construct with :meth:`from_values`, which applies a physical layout, or
-    directly from an array already in page order.
+    Construct with :meth:`from_values`, which applies a physical layout,
+    directly from an array already in page order, or from values plus an
+    *order*: row ids in page order (page ``p`` holds
+    ``values[order[p * b:(p + 1) * b]]``).  Both forms answer every access
+    path with the same payloads and the same :class:`IOStats` charges.
     """
 
     def __init__(
@@ -37,6 +45,7 @@ class HeapFile:
         laid_out_values: np.ndarray,
         blocking_factor: int,
         spec: RecordSpec | None = None,
+        order: np.ndarray | None = None,
     ):
         values = np.asarray(laid_out_values)
         if values.ndim != 1:
@@ -47,7 +56,13 @@ class HeapFile:
             raise ParameterError(
                 f"blocking_factor must be positive, got {blocking_factor}"
             )
+        if order is not None and np.shape(order) != values.shape:
+            raise ParameterError(
+                f"order must hold one row id per value, got shape "
+                f"{np.shape(order)} for {values.size} values"
+            )
         self._values = values
+        self._order = order
         self._blocking_factor = int(blocking_factor)
         self._spec = spec
         self.iostats = IOStats()
@@ -82,14 +97,29 @@ class HeapFile:
         cluster_fraction:
             Only used by the ``partial`` layout.
         """
-        if spec is None:
-            spec = RecordSpec()
-        if blocking_factor is None:
-            blocking_factor = spec.blocking_factor
+        spec, blocking_factor = _geometry(spec, blocking_factor)
         laid_out = apply_layout(
             values, layout=layout, rng=rng, cluster_fraction=cluster_fraction
         )
         return cls(laid_out, blocking_factor=blocking_factor, spec=spec)
+
+    @classmethod
+    def from_order(
+        cls,
+        values: np.ndarray,
+        order: np.ndarray,
+        spec: RecordSpec | None = None,
+        blocking_factor: int | None = None,
+    ) -> "HeapFile":
+        """Wrap *values* read through *order* (row ids in page order).
+
+        Costs O(1): nothing is copied, so one *order* can back a heap file
+        per column.  Equivalent on every access path to
+        ``HeapFile(values[order], ...)``; *spec* and *blocking_factor* as
+        in :meth:`from_values`.
+        """
+        spec, blocking_factor = _geometry(spec, blocking_factor)
+        return cls(values, blocking_factor=blocking_factor, spec=spec, order=order)
 
     # ------------------------------------------------------------------
     # Geometry
@@ -134,7 +164,7 @@ class HeapFile:
         """All values on *page_id*; costs one page read."""
         lo, hi = self.page_bounds(page_id)
         self.iostats.record_read(page_id)
-        return self._values[lo:hi]
+        return self._slice(lo, hi)
 
     def read_pages(self, page_ids: Sequence[int]) -> np.ndarray:
         """Concatenated values of *page_ids*, charged one read each.
@@ -143,7 +173,7 @@ class HeapFile:
         given, duplicate ids are read (and charged) again.
         """
         if len(page_ids) == 0:
-            return self._values[:0]
+            return self.empty_payload()
         if kernels.vectorized() and type(self).read_page is HeapFile.read_page:
             # Batched fast path: one gather + one accounting call.  Gated on
             # read_page not being overridden so fault-injecting subclasses
@@ -155,9 +185,7 @@ class HeapFile:
                 raise ParameterError(
                     f"page_id {first} out of range [0, {self.num_pages})"
                 )
-            payload = kernels.gather_pages(
-                self._values, ids, self._blocking_factor
-            )
+            payload = self._gather(ids)
             self.iostats.record_reads(ids)
             return payload
         chunks = [self.read_page(int(pid)) for pid in page_ids]
@@ -175,16 +203,18 @@ class HeapFile:
             )
         page_id = record_index // self._blocking_factor
         self.iostats.record_read(page_id)
+        if self._order is not None:
+            record_index = self._order[record_index]
         return self._values[record_index]
 
     def scan(self) -> np.ndarray:
         """Full scan; costs one read per page, returns all values."""
         if kernels.vectorized():
             self.iostats.record_reads(range(self.num_pages))
-            return self._values
-        for page_id in range(self.num_pages):
-            self.iostats.record_read(page_id)
-        return self._values
+        else:
+            for page_id in range(self.num_pages):
+                self.iostats.record_read(page_id)
+        return self.values_unaccounted()
 
     def iter_pages(self) -> Iterator[np.ndarray]:
         """Iterate page payloads in order, charging each page."""
@@ -204,12 +234,43 @@ class HeapFile:
         """All values without touching the I/O counters.
 
         Only for ground-truth computation in experiments; library code paths
-        must use :meth:`scan` / :meth:`read_page`.
+        must use :meth:`scan` / :meth:`read_page`.  An order-backed file
+        gathers all n values here, so this costs O(n).
         """
-        return self._values
+        if self._order is None:
+            return self._values
+        return self._values[self._order]
+
+    def empty_payload(self) -> np.ndarray:
+        """The zero-page payload (right dtype, no values, no charge)."""
+        return self._values[:0]
+
+    def _slice(self, lo: int, hi: int) -> np.ndarray:
+        """Values at page-order positions ``[lo, hi)``, uncharged."""
+        if self._order is None:
+            return self._values[lo:hi]
+        return self._values[self._order[lo:hi]]
+
+    def _gather(self, page_ids: np.ndarray) -> np.ndarray:
+        """Concatenated payloads of validated *page_ids*, uncharged."""
+        b = self._blocking_factor
+        if self._order is None:
+            return kernels.gather_pages(self._values, page_ids, b)
+        return self._values[kernels.gather_pages(self._order, page_ids, b)]
 
     def __repr__(self) -> str:
         return (
             f"HeapFile(records={self.num_records}, pages={self.num_pages}, "
             f"blocking_factor={self.blocking_factor})"
         )
+
+
+def _geometry(
+    spec: RecordSpec | None, blocking_factor: int | None
+) -> tuple[RecordSpec, int]:
+    """Default record geometry: 64-byte records in 8 KB pages."""
+    if spec is None:
+        spec = RecordSpec()
+    if blocking_factor is None:
+        blocking_factor = spec.blocking_factor
+    return spec, blocking_factor

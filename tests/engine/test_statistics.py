@@ -5,6 +5,8 @@ import pytest
 
 from repro.engine import StatisticsManager, Table
 from repro.exceptions import ParameterError, StatisticsNotFoundError
+from repro.storage import HeapFile
+from repro.storage.faults import RetryPolicy
 
 
 @pytest.fixture
@@ -85,6 +87,45 @@ class TestAnalyze:
         stats = manager.analyze(orders_table, "qty", k=10, f=0.3,
                                 heapfile=hf, rng=6)
         assert stats.pages_read <= hf.num_pages
+
+
+class TestEmptyColumn:
+    """Every method rejects an empty column with the typed error CVB uses."""
+
+    @pytest.mark.parametrize("method", ["cvb", "record", "fullscan"])
+    def test_empty_table_rejected(self, method):
+        table = Table("t", {"x": np.zeros(0)})
+        with pytest.raises(ParameterError, match="empty"):
+            StatisticsManager().analyze(table, "x", method=method)
+
+    @pytest.mark.parametrize("method", ["cvb", "record", "fullscan"])
+    def test_empty_table_rejected_on_resilient_path(self, method):
+        table = Table("t", {"x": np.zeros(0)})
+        with pytest.raises(ParameterError, match="empty"):
+            StatisticsManager().analyze(
+                table, "x", method=method, retry=RetryPolicy()
+            )
+
+
+class TestPagesReadPerBuild:
+    """pages_read counts this build's reads, not the file's lifetime."""
+
+    @pytest.mark.parametrize("method", ["record", "fullscan"])
+    def test_reused_heapfile_reports_per_build_reads(self, method):
+        hf = HeapFile.from_values(np.arange(20_000), rng=0, blocking_factor=128)
+        table = Table("t", {"x": np.arange(20_000)})
+        manager = StatisticsManager()
+        first = manager.analyze(
+            table, "x", k=10, method=method, heapfile=hf, rng=1
+        )
+        second = manager.analyze(
+            table, "x", k=10, method=method, heapfile=hf, rng=1
+        )
+        assert first.pages_read == second.pages_read
+        assert first.pages_read == first.io["page_reads"]
+        assert hf.iostats.page_reads == 2 * first.pages_read
+        if method == "fullscan":
+            assert first.pages_read == hf.num_pages
 
 
 class TestConsumption:

@@ -6,11 +6,12 @@ import json
 import socket
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.engine import Table
+from repro.engine import StatisticsManager, Table
 from repro.engine.maintenance import RefreshPolicy
 from repro.serve import AdmissionController, StatsServer, serve_forever
 from repro.serve.protocol import SHUTDOWN_OP
@@ -140,6 +141,51 @@ class TestDeterminism:
             {"op": "estimate_distinct", "table": "t", "column": "x"}
         ))
         assert second_a == second_b
+
+
+class TestLazyBuildRng:
+    """The refresh RNG is built only when a rebuild actually runs."""
+
+    def test_cache_hit_builds_no_generator(self, monkeypatch):
+        server = _server()
+        query = {"op": "estimate_range", "table": "t", "column": "x",
+                 "lo": 0.0, "hi": 100.0}
+        _ok(server.handle(query))  # cold build + cache install
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        for _ in range(5):
+            _ok(server.handle(query))
+        assert server.cache.counters()["hits"] == 5
+        assert built == []
+
+    def test_refresh_uses_the_build_number_seed(self):
+        server = _server(seed=7)
+        _ok(server.handle({"op": "analyze", "table": "t", "column": "x"}))
+        first = server.auto.manager.statistics("t", "x")
+        _ok(server.handle(
+            {"op": "modify", "table": "t", "column": "x", "rows": 5_000}
+        ))
+        answer = _ok(server.handle(
+            {"op": "estimate_distinct", "table": "t", "column": "x"}
+        ))
+        assert answer["version"] == 2
+        refreshed = server.auto.manager.statistics("t", "x")
+        seed = [7, zlib.crc32(b"t"), zlib.crc32(b"x"), 2]
+        reference = StatisticsManager().analyze(
+            server.tables["t"], "x", rng=np.random.default_rng(seed),
+            method=first.method, **first.build_params,
+        )
+        assert refreshed.sample.tobytes() == reference.sample.tobytes()
+        assert (refreshed.histogram.separators.tobytes()
+                == reference.histogram.separators.tobytes())
+        assert refreshed.distinct_estimate == reference.distinct_estimate
+        assert answer["distinct"] == reference.distinct_estimate
 
 
 class TestDegradedMode:

@@ -191,6 +191,9 @@ SECTIONS = [
 
 MODULES = [module for _, _, modules in SECTIONS for module in modules]
 
+#: Object addresses in default reprs; stripped so regeneration is stable.
+_ADDRESS = re.compile(r" at 0x[0-9a-f]+")
+
 
 def first_paragraph(doc: str | None) -> str:
     if not doc:
@@ -201,7 +204,7 @@ def first_paragraph(doc: str | None) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return ""
 
@@ -247,7 +250,7 @@ def render_module(module_name: str) -> list[str]:
         else:
             lines.append(f"#### data `{name}`")
             lines.append("")
-            lines.append(f"`{obj!r}`"[:300])
+            lines.append(f"`{_ADDRESS.sub('', repr(obj))}`"[:300])
             lines.append("")
     return lines
 
