@@ -450,13 +450,15 @@ class CVBSampler:
                 index=len(iterations),
                 requested_blocks=int(want),
             ) as iteration_span:
+                # Each increment is sorted once: the merge below needs it
+                # sorted, and the validation metrics find it already so.
                 if cfg.validation == "one_per_block":
                     increment, validation_values = (
                         stream.take_one_tuple_per_block(want, rng=generator)
                     )
+                    increment = np.sort(increment)
                 else:
-                    increment = stream.take(want)
-                    validation_values = increment
+                    increment = validation_values = np.sort(stream.take(want))
                 if increment.size == 0:
                     iteration_span.set(empty_increment=True)
                     break
@@ -470,7 +472,7 @@ class CVBSampler:
                 # Step 4(c): merge and rebuild H_i whether or not the test
                 # passed (the algorithm box outputs the *rebuilt* histogram
                 # on exit).
-                sample = _merge_sorted(sample, np.sort(increment))
+                sample = kernels.merge_sorted(sample, increment)
                 histogram = EquiHeightHistogram.from_sorted_values(
                     sample, cfg.k
                 )
@@ -582,13 +584,3 @@ def cvb_build(
     config = CVBConfig(k=k, f=f, gamma=gamma, **config_kwargs)
     return CVBSampler(config, retry=retry, budget=budget).run(heapfile, rng=rng)
 
-
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted arrays into one sorted array.
-
-    Delegates to :func:`repro.core.kernels.merge_sorted`: the scalar kernel
-    is the historical stable sort of the concatenation, the vector kernel
-    scatters both runs to their final ranks in one pass (Section 7.1,
-    extension 2 — the CVB increment merge).
-    """
-    return kernels.merge_sorted(a, b)

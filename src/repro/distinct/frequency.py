@@ -13,9 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import EmptyDataError
 
-__all__ = ["FrequencyProfile"]
+__all__ = ["FrequencyProfile", "value_counts"]
+
+
+def value_counts(sample: np.ndarray) -> np.ndarray:
+    """Occurrence count of each distinct value of *sample*, in value order.
+
+    Exactly ``np.unique(sample, return_counts=True)[1]`` (NaNs collapse,
+    ``-0.0 == 0.0``), but linear on already sorted input such as the CVB
+    sample: the counts are the gaps between run boundaries.
+    """
+    ordered = kernels.ensure_sorted(sample)
+    if ordered.size == 0:
+        raise EmptyDataError("cannot count the values of an empty array")
+    # run_start[i]: a run of equal values starts at i (i == size closes it).
+    run_start = np.empty(ordered.size + 1, dtype=bool)
+    run_start[0] = run_start[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:-1])
+    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        # NaNs sort last and never compare equal: fold them into one run.
+        first_nan = np.searchsorted(np.isnan(ordered), True)
+        run_start[first_nan + 1 : -1] = False
+    return np.diff(np.flatnonzero(run_start))
 
 
 @dataclass(frozen=True)
@@ -36,10 +58,7 @@ class FrequencyProfile:
     @classmethod
     def from_sample(cls, sample: np.ndarray) -> "FrequencyProfile":
         """Compute the profile of *sample* (any order, any dtype)."""
-        sample = np.asarray(sample)
-        if sample.size == 0:
-            raise EmptyDataError("cannot profile an empty sample")
-        _, per_value = np.unique(sample, return_counts=True)
+        per_value = value_counts(sample)
         levels, f = np.unique(per_value, return_counts=True)
         return cls(
             occurrence_counts=levels.astype(np.int64),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distinct.frequency import value_counts
 from ..exceptions import EmptyDataError, ParameterError
 
 __all__ = [
@@ -41,9 +42,7 @@ def density_from_counts(n: int, distinct: int) -> float:
 def column_density(values: np.ndarray) -> float:
     """Exact density of a value multiset."""
     values = np.asarray(values)
-    if values.size == 0:
-        raise EmptyDataError("cannot compute the density of an empty column")
-    distinct = int(np.unique(values).size)
+    distinct = int(value_counts(values).size)
     return density_from_counts(values.size, distinct)
 
 
@@ -67,9 +66,7 @@ def selfjoin_density(values: np.ndarray) -> float:
     1 for a constant column.
     """
     values = np.asarray(values)
-    if values.size == 0:
-        raise EmptyDataError("cannot compute the density of an empty column")
-    _, counts = np.unique(values, return_counts=True)
+    counts = value_counts(values)
     n = values.size
     return float(((counts / n) ** 2).sum())
 
@@ -96,7 +93,7 @@ def selfjoin_density_from_sample(sample: np.ndarray, n: int | None = None) -> fl
     if r == 1:
         pair_collision = 1.0
     else:
-        _, counts = np.unique(sample, return_counts=True)
+        counts = value_counts(sample)
         collisions = float((counts * (counts - 1)).sum())
         pair_collision = collisions / (r * (r - 1.0))
     if n is None:

@@ -715,7 +715,7 @@ def _kernel_merge_run(ctx: dict) -> dict:
 _register(
     Scenario(
         name="kernel_merge_sorted",
-        paper="ROADMAP item 2 / Section 7.1 ext. 2: batched increment merge",
+        paper="ROADMAP item 2 / Section 7.1 ext. 2: CVB increment merge",
         help="kernels.merge_sorted of accumulated sample and increment",
         setup=_kernel_merge_setup,
         run=_kernel_merge_run,

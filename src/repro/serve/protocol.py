@@ -16,9 +16,10 @@ re-typed without the doc (and this docstring's schema) moving in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..exceptions import ReproError
+from ..exceptions import ParameterError, ReproError
 
 __all__ = [
     "ProtocolError",
@@ -54,6 +55,9 @@ OPTIONAL_FIELDS: dict[str, dict] = {
 }
 
 _NUMERIC = (int, float)
+
+#: Numeric fields that may be ``±inf``: the open bounds of ``estimate_range``.
+OPEN_BOUNDS = frozenset({"lo", "hi"})
 
 #: Every request endpoint the server answers, keyed by op name.
 ENDPOINTS: dict[str, EndpointSpec] = {
@@ -131,9 +135,10 @@ def validate_request(request: object) -> tuple[str, dict]:
     """Check *request* against the endpoint table; return ``(op, fields)``.
 
     ``fields`` holds exactly the declared (required + present optional)
-    fields, so handlers can unpack without re-validating.  Raises
-    :class:`ProtocolError` on any malformed input — the server maps that
-    to an ``ok: false`` response rather than a dropped connection.
+    fields, numbers as floats, so handlers can unpack without
+    re-validating.  Raises :class:`ProtocolError` (malformed input) or
+    :class:`ParameterError` (:func:`_number`) — the server maps both to an
+    ``ok: false`` response rather than a dropped connection.
     """
     if not isinstance(request, dict):
         raise ProtocolError(
@@ -156,6 +161,8 @@ def validate_request(request: object) -> tuple[str, dict]:
                 f"field {field!r} of op {op!r} has the wrong type "
                 f"({type(value).__name__})"
             )
+        if types is _NUMERIC:
+            value = _number(op, field, value)
         fields[field] = value
     for field, types in OPTIONAL_FIELDS.get(op, {}).items():
         if field in request:
@@ -175,3 +182,17 @@ def validate_request(request: object) -> tuple[str, dict]:
             f"op {op!r} got unexpected fields: {', '.join(unknown)}"
         )
     return op, fields
+
+
+def _number(op: str, field: str, value: int | float) -> float:
+    """*value* as a float; NaN, ``±inf`` outside :data:`OPEN_BOUNDS` and
+    integers too large for a float raise :class:`ParameterError`."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ParameterError(
+            f"field {field!r} of op {op!r} is too large for a float"
+        ) from None
+    if math.isnan(number) or (math.isinf(number) and field not in OPEN_BOUNDS):
+        raise ParameterError(f"field {field!r} of op {op!r} cannot be {number}")
+    return number

@@ -33,7 +33,7 @@ from ..durability import CatalogStore
 from ..engine.maintenance import AutoStatistics, RefreshPolicy
 from ..engine.statistics import ColumnStatistics, StatisticsManager
 from ..engine.table import Table
-from ..exceptions import ReproError, StatisticsNotFoundError
+from ..exceptions import ParameterError, ReproError, StatisticsNotFoundError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .admission import AdmissionController, AdmissionDecision
@@ -179,10 +179,10 @@ class StatsServer:
         """
         try:
             op, fields = validate_request(request)
-        except ProtocolError as exc:
+        except (ProtocolError, ParameterError) as exc:
             return {
                 "ok": False, "op": None,
-                "error": str(exc), "code": "ProtocolError",
+                "error": str(exc), "code": type(exc).__name__,
             }
         telemetry = self.telemetry
         if telemetry is not None:
@@ -339,8 +339,7 @@ class StatsServer:
             if self.telemetry is not None:
                 self.telemetry.record_event("degraded")
         if op == "estimate_range":
-            lo, hi = float(fields["lo"]), float(fields["hi"])
-            rows = entry.index.estimate_range(lo, hi)
+            rows = entry.index.estimate_range(fields["lo"], fields["hi"])
             scale = (
                 table.num_rows / entry.index.total
                 if entry.index.total else 0.0
@@ -349,11 +348,11 @@ class StatsServer:
             return self._estimate_result(stats, entry, rows=scaled)
         if op == "estimate_equality":
             return self._estimate_result(
-                stats, entry, rows=stats.estimate_equality(float(fields["value"]))
+                stats, entry, rows=stats.estimate_equality(fields["value"])
             )
         if op == "estimate_quantile":
             return self._estimate_result(
-                stats, entry, value=entry.index.estimate_quantile(float(fields["q"]))
+                stats, entry, value=entry.index.estimate_quantile(fields["q"])
             )
         if op == "estimate_distinct":
             return self._estimate_result(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.exceptions import ParameterError
 from repro.serve import ENDPOINTS, ProtocolError, validate_request
 from repro.serve.protocol import OPTIONAL_FIELDS, SHUTDOWN_OP
 
@@ -104,6 +107,59 @@ class TestRejection:
     def test_watch_cursor_bool_rejected(self):
         with pytest.raises(ProtocolError, match="wrong type"):
             validate_request({"op": "watch", "cursor": True})
+
+
+#: An integer literal ``json.loads`` accepts but no float can hold.
+HUGE = int("9" * 400)
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _estimate(op, **numbers):
+    return {"op": op, "table": "t", "column": "x", **numbers}
+
+
+class TestNonFiniteNumbers:
+    """NaN is never a number the server answers for; ±inf only as an open
+    range bound; integers beyond float range are rejected, not overflowed."""
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            (_estimate("estimate_range", lo=NAN, hi=5), "'lo'.*cannot be nan"),
+            (_estimate("estimate_range", lo=0, hi=NAN), "'hi'.*cannot be nan"),
+            (_estimate("estimate_equality", value=NAN), "'value'.*cannot be nan"),
+            (_estimate("estimate_quantile", q=NAN), "'q'.*cannot be nan"),
+            (_estimate("estimate_equality", value=INF), "'value'.*cannot be -?inf"),
+            (_estimate("estimate_equality", value=-INF), "'value'.*cannot be -?inf"),
+            (_estimate("estimate_quantile", q=INF), "'q'.*cannot be -?inf"),
+            (_estimate("estimate_range", lo=HUGE, hi=5), "'lo'.*too large"),
+            (_estimate("estimate_range", lo=0, hi=-HUGE), "'hi'.*too large"),
+            (_estimate("estimate_equality", value=HUGE), "'value'.*too large"),
+            (_estimate("estimate_quantile", q=HUGE), "'q'.*too large"),
+        ],
+        ids=[
+            "range_lo_nan", "range_hi_nan", "equality_nan", "quantile_nan",
+            "equality_inf", "equality_neg_inf", "quantile_inf",
+            "range_lo_huge_int", "range_hi_huge_neg_int",
+            "equality_huge_int", "quantile_huge_int",
+        ],
+    )
+    def test_rejected_with_parameter_error(self, request_, message):
+        with pytest.raises(ParameterError, match=message):
+            validate_request(request_)
+
+    def test_infinite_range_bounds_accepted(self):
+        _, fields = validate_request(
+            _estimate("estimate_range", lo=-INF, hi=INF)
+        )
+        assert fields["lo"] == -INF and fields["hi"] == INF
+
+    def test_numeric_fields_arrive_as_floats(self):
+        _, fields = validate_request(_estimate("estimate_range", lo=1, hi=2**60))
+        assert type(fields["lo"]) is float and fields["lo"] == 1.0
+        assert fields["hi"] == float(2**60)
+        assert not math.isnan(fields["hi"])
 
 
 class TestDeclarations:

@@ -109,6 +109,33 @@ class TestEndpoints:
         assert bad["code"] == "ProtocolError"
 
 
+class TestNonFiniteRequests:
+    """Meaningless numbers get a typed error, never ``ok: true``."""
+
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            {"op": "estimate_range", "lo": float("nan"), "hi": 100},
+            {"op": "estimate_equality", "value": float("nan")},
+            {"op": "estimate_range", "lo": int("9" * 400), "hi": 100},
+        ],
+        ids=["range_lo_nan", "equality_nan", "range_lo_huge_int"],
+    )
+    def test_rejected_with_parameter_error(self, numbers):
+        server = _server()
+        response = server.handle({"table": "t", "column": "x", **numbers})
+        assert not response["ok"]
+        assert response["code"] == "ParameterError"
+        assert server.admission.counters()["admitted"] == 0  # no build ran
+
+    def test_infinite_range_bounds_cover_the_table(self):
+        result = _ok(_server().handle(
+            {"op": "estimate_range", "table": "t", "column": "x",
+             "lo": float("-inf"), "hi": float("inf")}
+        ))
+        assert result["rows"] == 20_000
+
+
 class TestDeterminism:
     def test_same_seed_builds_identical_statistics(self):
         responses = []
@@ -277,6 +304,17 @@ class TestTcpFrontEnd:
             garbage = json.loads(stream.readline())
             assert not garbage["ok"]
             assert garbage["code"] == "ProtocolError"
+            # An integer literal beyond float range: exactly one typed
+            # error line, and the connection keeps serving.
+            stream.write(
+                b'{"op": "estimate_range", "table": "t", "column": "x", '
+                b'"lo": ' + b"9" * 400 + b', "hi": 1}\n'
+            )
+            stream.flush()
+            overflow = json.loads(stream.readline())
+            assert not overflow["ok"]
+            assert overflow["code"] == "ParameterError"
+            assert _ok(roundtrip({"op": "ping"})) == {"pong": True}
             bye = roundtrip({"op": SHUTDOWN_OP})
             assert _ok(bye) == {"stopping": True}
         thread.join(timeout=10.0)
