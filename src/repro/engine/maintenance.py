@@ -128,11 +128,22 @@ class AutoStatistics:
         """Report that *rows* rows of the column changed."""
         self.modifications.record(table_name, column_name, rows)
 
-    def is_stale(self, table_name: str, column_name: str) -> bool:
-        """True when the column's statistics have crossed the staleness threshold."""
+    def fresh(self, table_name: str, column_name: str) -> ColumnStatistics | None:
+        """The column's statistics if they are not stale, else ``None``.
+
+        The one staleness check, and it never builds: :meth:`ensure_fresh`
+        makes it before and after taking the flight lock, and the server
+        makes it to decide whether a request can be answered without a
+        build.  Raises :class:`~repro.exceptions.StatisticsNotFoundError`
+        when the column was never analyzed.
+        """
         stats = self.manager.statistics(table_name, column_name)
         modified = self.modifications.since_refresh(table_name, column_name)
-        return self.policy.is_stale(stats, modified)
+        return None if self.policy.is_stale(stats, modified) else stats
+
+    def is_stale(self, table_name: str, column_name: str) -> bool:
+        """True when the column's statistics have crossed the staleness threshold."""
+        return self.fresh(table_name, column_name) is None
 
     def ensure_fresh(
         self,
@@ -165,22 +176,23 @@ class AutoStatistics:
         with _trace.span(
             "autostats.ensure_fresh", table=table.name, column=column_name
         ) as span:
-            stats = self.manager.statistics(table.name, column_name)
-            if not self.is_stale(table.name, column_name):
+            stats = self.fresh(table.name, column_name)
+            if stats is not None:
                 _metrics.inc("repro_autostats_requests_total", result="fresh")
                 span.set(result="fresh")
                 return stats
             with self._flight_lock(table.name, column_name):
                 # Double-checked staleness: a concurrent caller may have
                 # finished the rebuild while we waited on the lock.
-                stats = self.manager.statistics(table.name, column_name)
-                if not self.is_stale(table.name, column_name):
+                stats = self.fresh(table.name, column_name)
+                if stats is not None:
                     _metrics.inc(
                         "repro_autostats_requests_total", result="fresh"
                     )
                     span.set(result="fresh")
                     return stats
-                return self._refresh_locked(table, column_name, stats, rng, span)
+                stale = self.manager.statistics(table.name, column_name)
+                return self._refresh_locked(table, column_name, stale, rng, span)
 
     def _refresh_locked(self, table, column_name, stats, rng, span):
         """Run the stale-statistics rebuild while holding the flight lock."""

@@ -12,7 +12,8 @@ applies the modification-counter policy and rebuilds (single-flight per
 column) when needed.  The cache then revalidates its entry against the
 catalog's per-key version counter: an entry built from version ``v`` is a
 *hit* while the catalog still holds ``v`` and a *refresh* once a rebuild
-bumped it.
+bumped it.  :meth:`StatsCache.current` makes the same two checks without
+building, so a caller can tell in advance that a lookup will be a hit.
 
 Event counters (``hits``/``misses``/``refreshes``/``evictions``) are plain
 integers — deterministic under a deterministic request schedule — and are
@@ -30,7 +31,7 @@ from .._rng import RngLike
 from ..engine.maintenance import AutoStatistics
 from ..engine.statistics import ColumnStatistics
 from ..engine.table import Table
-from ..exceptions import ParameterError
+from ..exceptions import ParameterError, StatisticsNotFoundError
 from ..obs.metrics import inc
 from .bucket_index import BucketIndex
 
@@ -49,9 +50,10 @@ class CacheEntry:
 class StatsCache:
     """Version-validated LRU cache of serving bundles.
 
-    Thread-safe: the server handles requests from a thread pool (and the
-    loadgen drives it from many client threads), so map mutations are
-    guarded by a lock.  ANALYZE builds themselves happen *outside* this
+    Thread-safe: the server answers hits on its event loop while worker
+    threads build (and the loadgen drives it from many client threads),
+    so map mutations are guarded by a lock.  ANALYZE builds themselves
+    happen *outside* this
     lock — they go through ``AutoStatistics`` (single-flight) or the
     admission controller — so a slow build never blocks unrelated hits.
     """
@@ -96,6 +98,26 @@ class StatsCache:
         stats = self.auto.ensure_fresh(table, column_name, rng=rng)
         return self._admit(stats)
 
+    def current(self, table_name: str, column_name: str) -> bool:
+        """True when :meth:`lookup` would answer with a hit, never building.
+
+        The entry must have been built from the catalog's current version
+        (the check :meth:`_admit` makes) and
+        :meth:`~repro.engine.maintenance.AutoStatistics.fresh` must find
+        the statistics not stale (the check ``ensure_fresh`` makes).
+        Counts nothing and leaves the LRU order alone.
+        """
+        key = (table_name, column_name)
+        version = self.auto.manager.catalog.version(*key)
+        with self._lock:
+            entry = self._entry_at(key, version)
+        if entry is None:
+            return False
+        try:
+            return self.auto.fresh(*key) is not None
+        except StatisticsNotFoundError:  # dropped from the catalog
+            return False
+
     def install(self, statistics: ColumnStatistics) -> CacheEntry:
         """Cache the bundle for freshly built *statistics* and return it.
 
@@ -109,15 +131,15 @@ class StatsCache:
         key = (stats.table_name, stats.column_name)
         version = self.auto.manager.catalog.version(*key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.version == version:
+            entry = self._entry_at(key, version)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 inc("repro_serve_cache_events_total", event="hit")
                 if self.listener is not None:
                     self.listener("cache_hit")
                 return entry
-            if entry is None:
+            if key not in self._entries:
                 self.misses += 1
                 inc("repro_serve_cache_events_total", event="miss")
                 if self.listener is not None:
@@ -136,6 +158,12 @@ class StatsCache:
                 self.evictions += 1
                 inc("repro_serve_cache_events_total", event="evict")
             return entry
+
+    def _entry_at(self, key: tuple[str, str], version: int) -> CacheEntry | None:
+        """The entry for *key* if it was built from catalog *version*
+        (caller holds the lock)."""
+        entry = self._entries.get(key)
+        return entry if entry is not None and entry.version == version else None
 
     # ------------------------------------------------------------------
     # Maintenance / introspection

@@ -17,14 +17,19 @@ re-typed without the doc (and this docstring's schema) moving in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
+from ..core.adaptive import CVBConfig
+from ..engine.statistics import BUILD_METHODS
 from ..exceptions import ParameterError, ReproError
+from ..storage.layout import LAYOUT_NAMES
 
 __all__ = [
     "ProtocolError",
     "EndpointSpec",
     "ENDPOINTS",
+    "ANALYZE_PARAMS",
+    "MAX_K",
     "SHUTDOWN_OP",
     "validate_request",
 ]
@@ -59,6 +64,30 @@ _NUMERIC = (int, float)
 #: Numeric fields that may be ``±inf``: the open bounds of ``estimate_range``.
 OPEN_BOUNDS = frozenset({"lo", "hi"})
 
+#: Largest bucket count an ``analyze`` request may ask for: a build
+#: allocates O(k) per histogram and samples O(k) tuples, so an unbounded
+#: ``k`` would let one request make the server allocate gigabytes.
+MAX_K = 10_000
+
+#: Build parameters an ``analyze`` request may set in ``params``, with
+#: their accepted types: the JSON-typed arguments of
+#: :meth:`~repro.engine.statistics.StatisticsManager.analyze` and
+#: :class:`~repro.core.adaptive.CVBConfig`.  Their ranges are the ones
+#: ``CVBConfig`` enforces (``k`` also at most :data:`MAX_K`); ``method``
+#: and ``layout`` take the names the engine declares.
+ANALYZE_PARAMS: dict[str, type | tuple] = {
+    "k": int,
+    "f": _NUMERIC,
+    "gamma": _NUMERIC,
+    "method": str,
+    "layout": str,
+    "validation": str,
+    "metric": str,
+    "max_sampled_fraction": _NUMERIC,
+}
+
+_CVB_FIELDS = frozenset(field.name for field in dataclass_fields(CVBConfig))
+
 #: Every request endpoint the server answers, keyed by op name.
 ENDPOINTS: dict[str, EndpointSpec] = {
     spec.name: spec
@@ -75,8 +104,9 @@ ENDPOINTS: dict[str, EndpointSpec] = {
         EndpointSpec(
             "analyze", {"table": str, "column": str},
             "Build (or rebuild) statistics for one column via the "
-            "admission-controlled ANALYZE path; optional `params` forwards "
-            "build parameters (k, f, gamma, method, ...).",
+            "admission-controlled ANALYZE path; optional `params` sets "
+            "build parameters (k, f, gamma, method, layout, validation, "
+            "metric, max_sampled_fraction).",
         ),
         EndpointSpec(
             "estimate_range", {"table": str, "column": str,
@@ -136,9 +166,11 @@ def validate_request(request: object) -> tuple[str, dict]:
 
     ``fields`` holds exactly the declared (required + present optional)
     fields, numbers as floats, so handlers can unpack without
-    re-validating.  Raises :class:`ProtocolError` (malformed input) or
-    :class:`ParameterError` (:func:`_number`) — the server maps both to an
-    ``ok: false`` response rather than a dropped connection.
+    re-validating; ``params`` holds only checked build parameters
+    (:data:`ANALYZE_PARAMS`).  Raises :class:`ProtocolError` (malformed
+    input) or :class:`ParameterError` (a number or build parameter out of
+    range) — the server maps both to an ``ok: false`` response rather
+    than a dropped connection.
     """
     if not isinstance(request, dict):
         raise ProtocolError(
@@ -155,24 +187,10 @@ def validate_request(request: object) -> tuple[str, dict]:
     for field, types in spec.fields.items():
         if field not in request:
             raise ProtocolError(f"op {op!r} requires field {field!r}")
-        value = request[field]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ProtocolError(
-                f"field {field!r} of op {op!r} has the wrong type "
-                f"({type(value).__name__})"
-            )
-        if types is _NUMERIC:
-            value = _number(op, field, value)
-        fields[field] = value
+        fields[field] = _typed(op, field, request[field], types)
     for field, types in OPTIONAL_FIELDS.get(op, {}).items():
         if field in request:
-            value = request[field]
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ProtocolError(
-                    f"field {field!r} of op {op!r} has the wrong type "
-                    f"({type(value).__name__})"
-                )
-            fields[field] = value
+            fields[field] = _typed(op, field, request[field], types)
     unknown = sorted(
         set(request) - {"op"} - set(spec.fields)
         - set(OPTIONAL_FIELDS.get(op, {}))
@@ -181,7 +199,47 @@ def validate_request(request: object) -> tuple[str, dict]:
         raise ProtocolError(
             f"op {op!r} got unexpected fields: {', '.join(unknown)}"
         )
+    if "params" in fields:
+        fields["params"] = _build_params(fields["params"])
     return op, fields
+
+
+def _typed(op: str, field: str, value: object, types: type | tuple) -> object:
+    """*value* checked against *types* (never a bool); numbers as floats."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ProtocolError(
+            f"field {field!r} of op {op!r} has the wrong type "
+            f"({type(value).__name__})"
+        )
+    if types is _NUMERIC:
+        return _number(op, field, value)
+    return value
+
+
+def _build_params(params: dict) -> dict:
+    """The ``params`` of an ``analyze`` request, checked against
+    :data:`ANALYZE_PARAMS`: unknown names and wrong types raise
+    :class:`ProtocolError`, out-of-range values :class:`ParameterError`."""
+    checked = {}
+    for name, value in params.items():
+        types = ANALYZE_PARAMS.get(name)
+        if types is None:
+            raise ProtocolError(
+                f"op 'analyze' got an unexpected build parameter {name!r}; "
+                f"expected some of: {', '.join(ANALYZE_PARAMS)}"
+            )
+        checked[name] = _typed("analyze", f"params.{name}", value, types)
+    for name, choices in (("method", BUILD_METHODS), ("layout", LAYOUT_NAMES)):
+        if name in checked and checked[name] not in choices:
+            raise ParameterError(f"params.{name} must be one of {choices}")
+    k = checked.get("k", 1)
+    if k > MAX_K:
+        raise ParameterError(f"params.k must be at most {MAX_K}, got {k}")
+    CVBConfig(k=k, **{
+        name: value for name, value in checked.items()
+        if name in _CVB_FIELDS and name != "k"
+    })
+    return checked
 
 
 def _number(op: str, field: str, value: int | float) -> float:

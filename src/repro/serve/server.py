@@ -4,8 +4,16 @@
 takes one protocol request (a dict) and returns one response (a dict).
 In-process callers (the load generator, the bench scenarios, tests) call
 it directly from any number of threads; the asyncio front end
-(:func:`serve_forever`) wraps it in a JSON-lines-over-TCP loop, running
-handlers in worker threads so a slow ANALYZE never stalls the event loop.
+(:func:`serve_forever`) wraps it in a JSON-lines-over-TCP loop.
+
+Threading model of the front end: a request that may build statistics
+or wait for an admission slot — ``analyze``, and an estimate whose cached
+entry is missing, out of date or stale — runs ``handle`` in a worker
+thread (``asyncio.to_thread``), so a slow ANALYZE never stalls the event
+loop.  Every other request (cache hits, ``ping``, ``status``, ``modify``,
+the telemetry endpoints, every rejected request) is answered by
+``handle`` on the event loop itself: for a hit the thread hop would cost
+more than the answer.  :meth:`StatsServer.needs_worker` decides.
 
 Determinism: every ANALYZE executed by the server draws its RNG from
 ``(server seed, table name, column name, build number)`` — *not* from
@@ -38,7 +46,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .admission import AdmissionController, AdmissionDecision
 from .cache import CacheEntry, StatsCache
-from .protocol import SHUTDOWN_OP, ProtocolError, validate_request
+from .protocol import ENDPOINTS, SHUTDOWN_OP, ProtocolError, validate_request
 from .telemetry import ServerTelemetry
 
 __all__ = ["ServerOverloadError", "StatsServer", "serve_forever"]
@@ -46,6 +54,20 @@ __all__ = ["ServerOverloadError", "StatsServer", "serve_forever"]
 #: Build parameters used for cold builds triggered by estimate endpoints
 #: (an explicit ``analyze`` request can override any of them via `params`).
 DEFAULT_BUILD_PARAMS: dict = {"k": 64, "f": 0.1, "gamma": 0.05}
+
+#: Endpoints answered from the serving bundle, which a miss builds.
+ESTIMATE_OPS = frozenset(op for op in ENDPOINTS if op.startswith("estimate_"))
+
+#: Longest request line, in bytes before the newline, the TCP front end
+#: accepts (asyncio's default stream limit, stated explicitly).
+LINE_LIMIT = 64 * 1024
+
+#: The answer to a request line longer than :data:`LINE_LIMIT`.
+_OVERSIZE_LINE = {
+    "ok": False, "op": None,
+    "error": f"request line exceeds the {LINE_LIMIT}-byte limit",
+    "code": "ProtocolError",
+}
 
 
 class ServerOverloadError(ReproError):
@@ -171,11 +193,34 @@ class StatsServer:
     # Request handling
     # ------------------------------------------------------------------
 
+    def needs_worker(self, request: object) -> bool:
+        """True when answering *request* may build statistics or wait.
+
+        ``analyze`` always may.  An estimate may unless the cache holds a
+        current entry for its column (:meth:`StatsCache.current
+        <repro.serve.cache.StatsCache.current>`): missing, out of date or
+        stale, the lookup builds or queues for admission.  Every other
+        request, including each one :meth:`handle` rejects, is answered
+        without building or waiting.  The TCP front end runs the first
+        kind in a worker thread and the rest on its event loop.
+        """
+        if not isinstance(request, dict):
+            return False
+        op = request.get("op")
+        if op == "analyze":
+            return True
+        if not isinstance(op, str) or op not in ESTIMATE_OPS:
+            return False
+        table, column = request.get("table"), request.get("column")
+        if not isinstance(table, str) or not isinstance(column, str):
+            return False
+        return table in self.tables and not self.cache.current(table, column)
+
     def handle(self, request: object) -> dict:
         """Answer one protocol request; never raises on bad input.
 
-        Thread-safe: the TCP front end and the load generator call this
-        from many threads concurrently.
+        Thread-safe: the TCP front end calls this on its event loop and
+        from worker threads, the load generator from many threads.
         """
         try:
             op, fields = validate_request(request)
@@ -482,15 +527,31 @@ async def _client_loop(
     writer: asyncio.StreamWriter,
     stop: asyncio.Event,
 ) -> None:
-    """Serve one TCP client: JSON request per line, JSON response per line."""
+    """Serve one TCP client: JSON request per line, JSON response per line.
+
+    A request that may build runs in a worker thread, the rest on the
+    event loop (see the module docstring).  A line over
+    :data:`LINE_LIMIT` gets one ``ProtocolError`` line; the connection
+    then keeps serving if the line's newline follows within another
+    :data:`LINE_LIMIT` bytes, and is closed otherwise.
+    """
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # the client closed; b"" once drained
+            except asyncio.LimitOverrunError as exc:
+                writer.write(_encode(_OVERSIZE_LINE))
+                await writer.drain()
+                if not await _skip_line(reader, exc.consumed):
+                    break
+                continue
             if not line:
                 break
             try:
                 request = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 response: dict = {
                     "ok": False, "op": None,
                     "error": "request is not valid JSON",
@@ -506,7 +567,10 @@ async def _client_loop(
                     await writer.drain()
                     stop.set()
                     break
-                response = await asyncio.to_thread(server.handle, request)
+                if server.needs_worker(request):
+                    response = await asyncio.to_thread(server.handle, request)
+                else:
+                    response = server.handle(request)  # repro: noqa[CON102] guarded by needs_worker(): this request cannot build or wait for admission
             writer.write(_encode(response))
             await writer.drain()
     finally:
@@ -515,6 +579,20 @@ async def _client_loop(
             await writer.wait_closed()
         except (ConnectionError, OSError):  # client vanished mid-close
             pass
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Discard an oversize line whose first *consumed* bytes are buffered.
+
+    True when its newline followed within :data:`LINE_LIMIT` more bytes,
+    so the next line starts a fresh request.
+    """
+    await reader.readexactly(consumed)
+    try:
+        await reader.readuntil(b"\n")
+    except (asyncio.LimitOverrunError, asyncio.IncompleteReadError):
+        return False
+    return True
 
 
 def _encode(response: dict) -> bytes:
@@ -534,7 +612,9 @@ async def _serve_async(
         """Spawn the per-client loop for one accepted connection."""
         await _client_loop(server, reader, writer, stop)
 
-    tcp = await asyncio.start_server(_on_connect, host=host, port=port)
+    tcp = await asyncio.start_server(
+        _on_connect, host=host, port=port, limit=LINE_LIMIT
+    )
     bound = tcp.sockets[0].getsockname()
     announce = f"SERVE_READY {bound[0]} {bound[1]}"
     print(announce, flush=True)

@@ -58,6 +58,40 @@ class TestLookup:
         assert entry.version == auto.manager.catalog.version("t", "x")
 
 
+class TestCurrent:
+    """``current`` predicts a hit without building, counting or LRU bumps."""
+
+    def test_current_exactly_when_lookup_would_hit(self):
+        table, auto = _table(), _auto()
+        cache = StatsCache(auto)
+        assert not cache.current("t", "x")  # never analyzed
+        auto.analyze(table, "x", k=8, f=0.3, rng=0)
+        assert not cache.current("t", "x")  # analyzed, not cached
+        cache.lookup(table, "x")
+        assert cache.current("t", "x")
+        counters = cache.counters()
+        assert cache.current("t", "x")
+        assert cache.counters() == counters  # counts nothing
+        auto.record_modifications("t", "x", 5_000)  # stale
+        assert not cache.current("t", "x")
+        cache.lookup(table, "x", rng=1)
+        assert cache.current("t", "x")
+        auto.analyze(table, "x", k=8, f=0.3, rng=2)  # out of date
+        assert not cache.current("t", "x")
+        versions = auto.manager.catalog.version("t", "x")
+        cache.lookup(table, "x")
+        assert cache.current("t", "x")
+        assert auto.manager.catalog.version("t", "x") == versions
+
+    def test_dropped_statistics_are_not_current(self):
+        table, auto = _table(), _auto()
+        auto.analyze(table, "x", k=8, f=0.3, rng=0)
+        cache = StatsCache(auto)
+        cache.lookup(table, "x")
+        auto.manager.catalog.drop("t", "x")
+        assert not cache.current("t", "x")
+
+
 class TestInstall:
     def test_install_makes_peek_visible(self):
         table, auto = _table(), _auto()

@@ -5,6 +5,11 @@
 directly on the event loop — one slow disk write would stall every
 connected client.  Both now run via ``asyncio.to_thread``; this test
 pins that shape statically so the blocking form cannot quietly return.
+
+``_client_loop`` calls ``server.handle`` on the loop only where
+``server.needs_worker`` said the request cannot build or wait (the one
+``CON102`` suppression); the pin below keeps that call under its guard
+and keeps the ``to_thread`` branch beside it.
 """
 
 from __future__ import annotations
@@ -63,4 +68,44 @@ class TestServeAsyncStaysNonBlocking:
         assert offloaded == OFFLOADED, (
             "_serve_async no longer offloads its checkpoint/ready-file "
             f"writes via asyncio.to_thread (saw {sorted(offloaded)})"
+        )
+
+
+class TestClientLoopRoutesBuildsToWorkers:
+    def _guards(self, loop):
+        """The ``if server.needs_worker(...)`` statements of *loop*."""
+        return [
+            node for node in ast.walk(loop)
+            if isinstance(node, ast.If)
+            and isinstance(node.test, ast.Call)
+            and _tail(node.test.func) == "needs_worker"
+        ]
+
+    def test_direct_handle_only_under_the_needs_worker_guard(self):
+        [loop] = [f for f in _async_defs() if f.name == "_client_loop"]
+        [guard] = self._guards(loop)
+        direct = [
+            node for node in ast.walk(loop)
+            if isinstance(node, ast.Call) and _tail(node.func) == "handle"
+        ]
+        guarded = [
+            node for stmt in guard.orelse for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and _tail(node.func) == "handle"
+        ]
+        assert len(direct) == 1 and direct == guarded, (
+            "_client_loop calls handle() on the event loop outside the "
+            "else branch of `if server.needs_worker(request)`"
+        )
+
+    def test_requests_that_may_build_still_go_through_to_thread(self):
+        [loop] = [f for f in _async_defs() if f.name == "_client_loop"]
+        [guard] = self._guards(loop)
+        offloaded = [
+            node for stmt in guard.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and _tail(node.func) == "to_thread"
+            and node.args and _tail(node.args[0]) == "handle"
+        ]
+        assert len(offloaded) == 1, (
+            "the needs_worker branch of _client_loop no longer runs "
+            "server.handle through asyncio.to_thread"
         )

@@ -8,7 +8,9 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.serve import ENDPOINTS, ProtocolError, validate_request
-from repro.serve.protocol import OPTIONAL_FIELDS, SHUTDOWN_OP
+from repro.serve.protocol import (
+    ANALYZE_PARAMS, MAX_K, OPTIONAL_FIELDS, SHUTDOWN_OP,
+)
 
 
 class TestValidRequests:
@@ -160,6 +162,70 @@ class TestNonFiniteNumbers:
         assert type(fields["lo"]) is float and fields["lo"] == 1.0
         assert fields["hi"] == float(2**60)
         assert not math.isnan(fields["hi"])
+
+
+def _analyze(params):
+    return {"op": "analyze", "table": "t", "column": "x", "params": params}
+
+
+class TestAnalyzeParams:
+    """``params`` carries only the declared build parameters, typed and in
+    range; anything else is a typed error, never an exception in the build."""
+
+    def test_every_declared_parameter_accepted(self):
+        params = {
+            "k": MAX_K, "f": 1, "gamma": 0.5, "method": "record",
+            "layout": "sorted", "validation": "one_per_block",
+            "metric": "count", "max_sampled_fraction": 0.5,
+        }
+        assert set(params) == set(ANALYZE_PARAMS)
+        _, fields = validate_request(_analyze(params))
+        assert fields["params"] == params
+        assert type(fields["params"]["f"]) is float
+
+    @pytest.mark.parametrize(
+        "params, code, message",
+        [
+            ({"bogus": 1}, ProtocolError, "unexpected build parameter 'bogus'"),
+            ({"rng": 1}, ProtocolError, "unexpected build parameter 'rng'"),
+            ({"heapfile": None}, ProtocolError, "unexpected build parameter"),
+            ({"record_sample_size": 10}, ProtocolError,
+             "unexpected build parameter"),
+            ({"k": "a"}, ProtocolError, "'params.k'.*wrong type"),
+            ({"f": "x"}, ProtocolError, "'params.f'.*wrong type"),
+            ({"k": 1e300}, ProtocolError, "'params.k'.*wrong type"),
+            ({"k": NAN}, ProtocolError, "'params.k'.*wrong type"),
+            ({"k": 8.0}, ProtocolError, "'params.k'.*wrong type"),
+            ({"k": True}, ProtocolError, "'params.k'.*wrong type"),
+            ({"method": 1}, ProtocolError, "'params.method'.*wrong type"),
+            ({"k": MAX_K + 1}, ParameterError, "at most"),
+            ({"k": HUGE}, ParameterError, "at most"),
+            ({"k": 0}, ParameterError, "k must be positive"),
+            ({"f": NAN}, ParameterError, "'params.f'.*cannot be nan"),
+            ({"f": INF}, ParameterError, "'params.f'.*cannot be inf"),
+            ({"f": HUGE}, ParameterError, "'params.f'.*too large"),
+            ({"f": 2}, ParameterError, "f must be in"),
+            ({"f": 0}, ParameterError, "f must be in"),
+            ({"gamma": 1}, ParameterError, "gamma must be in"),
+            ({"max_sampled_fraction": 0}, ParameterError,
+             "max_sampled_fraction must be in"),
+            ({"method": "bogus"}, ParameterError, "params.method must be one of"),
+            ({"layout": "bogus"}, ParameterError, "params.layout must be one of"),
+            ({"validation": "x"}, ParameterError, "validation must be one of"),
+            ({"metric": "x"}, ParameterError, "metric must be one of"),
+        ],
+        ids=[
+            "unknown", "rng", "heapfile", "record_sample_size", "k_str",
+            "f_str", "k_huge_float", "k_nan", "k_float", "k_bool",
+            "method_int", "k_over_max", "k_huge_int", "k_zero", "f_nan",
+            "f_inf", "f_huge_int", "f_above_one", "f_zero", "gamma_one",
+            "fraction_zero", "method_unknown", "layout_unknown",
+            "validation_unknown", "metric_unknown",
+        ],
+    )
+    def test_rejected_with_a_typed_error(self, params, code, message):
+        with pytest.raises(code, match=message):
+            validate_request(_analyze(params))
 
 
 class TestDeclarations:

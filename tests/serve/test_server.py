@@ -15,6 +15,7 @@ from repro.engine import StatisticsManager, Table
 from repro.engine.maintenance import RefreshPolicy
 from repro.serve import AdmissionController, StatsServer, serve_forever
 from repro.serve.protocol import SHUTDOWN_OP
+from repro.serve.server import LINE_LIMIT
 
 
 def _server(**kwargs):
@@ -315,7 +316,98 @@ class TestTcpFrontEnd:
             assert not overflow["ok"]
             assert overflow["code"] == "ParameterError"
             assert _ok(roundtrip({"op": "ping"})) == {"pong": True}
+            # Undeclared or out-of-range build parameters: one typed error
+            # line each, and the connection keeps serving.
+            for params, code in (
+                ({"bogus": 1}, "ProtocolError"),
+                ({"k": float("nan")}, "ProtocolError"),
+                ({"k": 10**300}, "ParameterError"),
+            ):
+                rejected = roundtrip({"op": "analyze", "table": "t",
+                                      "column": "x", "params": params})
+                assert not rejected["ok"]
+                assert rejected["code"] == code
+                assert _ok(roundtrip({"op": "ping"})) == {"pong": True}
             bye = roundtrip({"op": SHUTDOWN_OP})
             assert _ok(bye) == {"stopping": True}
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+class TestOversizeLines:
+    """A line over the stream limit gets one typed error line."""
+
+    def test_newline_found_keeps_the_connection(self, front_end):
+        client = front_end(_server()).connect()
+        client.send(json.dumps({"op": "ping", "pad": "x" * 100_000}).encode())
+        rejected = client.read()
+        assert rejected["code"] == "ProtocolError"
+        assert f"{LINE_LIMIT}-byte limit" in rejected["error"]
+        assert _ok(client.request({"op": "ping"})) == {"pong": True}
+
+    def test_no_newline_within_the_limit_closes(self, front_end):
+        front = front_end(_server())
+        client = front.connect()
+
+        def send_endless_line():
+            try:
+                client.sock.sendall(b"y" * (32 * LINE_LIMIT))
+            except OSError:  # the server closed while we were sending
+                pass
+
+        sender = threading.Thread(target=send_endless_line, daemon=True)
+        sender.start()
+        rejected = client.read()
+        assert rejected["code"] == "ProtocolError"
+        assert f"{LINE_LIMIT}-byte limit" in rejected["error"]
+        try:
+            assert client.read() is None  # closed after the one error line
+        except ConnectionResetError:  # closed with our bytes still unread
+            pass
+        sender.join(timeout=10.0)
+        assert _ok(front.connect().request({"op": "ping"})) == {"pong": True}
+
+
+class TestNeedsWorker:
+    """Only requests that can build or wait for admission leave the loop."""
+
+    def test_routing(self):
+        server = _server()
+        query = {"op": "estimate_range", "table": "t", "column": "x",
+                 "lo": 0.0, "hi": 100.0}
+        analyze = {"op": "analyze", "table": "t", "column": "x"}
+        assert server.needs_worker(analyze)
+        assert server.needs_worker(query)  # cold: the lookup would build
+        _ok(server.handle(query))
+        assert not server.needs_worker(query)  # a hit
+        assert server.needs_worker(analyze)  # always may build
+        _ok(server.handle(
+            {"op": "modify", "table": "t", "column": "x", "rows": 5_000}
+        ))
+        assert server.needs_worker(query)  # stale: the lookup refreshes
+        _ok(server.handle(query))
+        assert not server.needs_worker(query)
+        # A build outside the cache leaves its entry out of date.
+        server.auto.analyze(server.tables["t"], "x", k=8, f=0.3)
+        assert server.needs_worker(query)
+        _ok(server.handle(query))
+        assert not server.needs_worker(query)
+
+    def test_requests_that_cannot_build_stay_on_the_loop(self):
+        server = _server()
+        for request in (
+            {"op": "ping"}, {"op": "status"}, {"op": "stats"},
+            {"op": "health"}, {"op": "watch"},
+            {"op": "modify", "table": "t", "column": "x", "rows": 5},
+            {"op": "estimate_distinct", "table": "nope", "column": "x"},
+            {"op": "estimate_distinct", "table": ["t"], "column": "x"},
+            {"op": ["estimate_distinct"]}, {"op": "bogus"}, {"table": "t"},
+            [1, 2], "ping", None,
+        ):
+            assert not server.needs_worker(request), request
+
+    def test_unknown_column_may_wait_for_admission(self):
+        server = _server()
+        assert server.needs_worker(
+            {"op": "estimate_distinct", "table": "t", "column": "nope"}
+        )
